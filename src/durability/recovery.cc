@@ -93,24 +93,37 @@ std::unique_ptr<Database> RecoveryManager::BuildGenesis() const {
 Status RecoveryManager::Replay(SnapshotManager* manager) {
   BINCHAIN_CHECK(manager != nullptr);
   BINCHAIN_CHECK(manager->sealed());
+  if (batches_.empty()) return Status::Ok();
+  // Every committed batch must continue the numbering from the genesis /
+  // checkpoint epoch. Checked up front for the whole log, so a gap is
+  // refused before anything is staged.
+  uint64_t expected = manager->epoch();
   for (const Batch& batch : batches_) {
-    for (const WalRecord& op : batch.ops) {
-      if (op.kind == WalRecord::kDelete) {
-        manager->DeleteFact(op.pred, op.args);
-      } else {
-        manager->AddFact(op.pred, op.args);
-      }
-    }
-    PublishStats stats = manager->Publish();
-    if (!stats.status.ok()) return stats.status;
-    if (stats.epoch != batch.epoch) {
+    if (batch.epoch != ++expected) {
       return Status::Internal(
           "recovery: replayed publish landed on epoch " +
-          std::to_string(stats.epoch) + ", log committed " +
+          std::to_string(expected) + ", log committed " +
           std::to_string(batch.epoch));
     }
-    ++stats_.batches_replayed;
   }
+  // One publish for the whole log: the intermediate epochs are never
+  // served (the serving gate stays shut until replay returns), so a delta
+  // build, freeze and artifact refresh for each would be wasted. Publish
+  // applies staged ops strictly in order on one successor, so adds,
+  // deletes and arity-rejected adds end as batch-by-batch publishes would.
+  for (Batch& batch : batches_) {
+    for (WalRecord& op : batch.ops) {
+      if (op.kind == WalRecord::kDelete) {
+        manager->DeleteFact(std::move(op.pred), std::move(op.args));
+      } else {
+        manager->AddFact(std::move(op.pred), std::move(op.args));
+      }
+    }
+  }
+  PublishStats stats = manager->PublishImpl(batches_.back().epoch);
+  if (!stats.status.ok()) return stats.status;
+  stats_.batches_replayed = batches_.size();
+  batches_.clear();
   return Status::Ok();
 }
 

@@ -8,14 +8,20 @@
 // committed batches — exactly the epochs a pre-crash reader could have
 // observed after a publish returned.
 //
-// Replay then drives an ordinary SnapshotManager through the same
-// AddFact / DeleteFact / Publish sequence the pre-crash process ran, so
-// the recovered tip is rebuilt by the production publish pipeline, not a
-// parallel code path: same tombstone semantics, same flatten policy, same
-// artifact refresh. COMMIT records carry the epoch id, which makes replay
-// immune to the crash-between-checkpoint-rename-and-log-truncate window:
-// batches at or below the checkpoint's epoch are skipped, and re-applied
-// adds/deletes are idempotent anyway (last-writer-wins per fact).
+// Replay then stages every committed batch's ops, in log order, through
+// an ordinary SnapshotManager's AddFact / DeleteFact and publishes them
+// once, as a single successor stamped with the last COMMIT's epoch id. The
+// recovered tip is therefore rebuilt by the production publish pipeline,
+// not a parallel code path: same tombstone semantics, same flatten policy,
+// same artifact refresh. Publish applies staged ops strictly in order on
+// one successor, so the tip equals what batch-by-batch publishes would
+// have built; the intermediate epochs are skipped because nobody could
+// query them (recovery gates serving until Replay returns). The log's
+// batch epochs must be consecutive from the genesis / checkpoint epoch.
+// COMMIT records carry the epoch id, which makes replay immune to the
+// crash-between-checkpoint-rename-and-log-truncate window: batches at or
+// below the checkpoint's epoch are skipped, and re-applied adds/deletes
+// are idempotent anyway (last-writer-wins per fact).
 //
 // The durability sink must NOT be attached while replaying — replayed
 // batches are already in the log — and is attached right after, so the
@@ -43,7 +49,7 @@ struct RecoveryStats {
   uint64_t records_scanned = 0;    // well-formed log records
   uint64_t batches_committed = 0;  // committed batches found in the log
   uint64_t batches_skipped = 0;    // of those, at/below the checkpoint epoch
-  uint64_t batches_replayed = 0;   // publishes re-run during Replay()
+  uint64_t batches_replayed = 0;   // batches Replay() applied (one publish)
   /// True when Load() physically cut the log: a torn trailing record
   /// and/or complete-but-uncommitted Stage records past the last COMMIT.
   bool tail_truncated = false;
@@ -66,10 +72,11 @@ class RecoveryManager {
   /// replayed publishes continue the pre-crash numbering. Call once.
   std::unique_ptr<Database> BuildGenesis() const;
 
-  /// Re-runs every committed batch above the checkpoint epoch through
-  /// `manager` (which must be sealed over BuildGenesis() and must not have
-  /// a durability sink attached yet). Internal error if a replayed publish
-  /// lands on an epoch id other than the batch's COMMIT recorded.
+  /// Applies every committed batch above the checkpoint epoch to `manager`
+  /// (which must be sealed over BuildGenesis() and must not have a
+  /// durability sink attached yet) as one publish landing on the last
+  /// COMMIT's epoch. Internal error, with nothing published, if the batch
+  /// epochs do not run consecutively from the manager's epoch. Call once.
   Status Replay(SnapshotManager* manager);
 
   /// Opens the append side over the now-normalized log.

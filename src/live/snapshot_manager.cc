@@ -150,7 +150,10 @@ std::shared_ptr<const Database> SnapshotManager::Acquire() const {
 
 uint64_t SnapshotManager::epoch() const { return Acquire()->epoch(); }
 
-PublishStats SnapshotManager::Publish() {
+PublishStats SnapshotManager::Publish() { return PublishImpl(std::nullopt); }
+
+PublishStats SnapshotManager::PublishImpl(
+    std::optional<uint64_t> recovered_epoch) {
   std::lock_guard<std::mutex> publish_lock(publish_mu_);
   const uint64_t start_us = obs::SteadyNowUs();
   auto t0 = std::chrono::steady_clock::now();
@@ -169,6 +172,10 @@ PublishStats SnapshotManager::Publish() {
     builder = artifact_builder_;
     listener = publish_listener_;
     sink = sink_;
+  }
+  if (recovered_epoch.has_value()) {
+    BINCHAIN_CHECK(sink == nullptr);
+    BINCHAIN_CHECK(*recovered_epoch > base->epoch());
   }
 
   PublishStats stats;
@@ -202,6 +209,7 @@ PublishStats SnapshotManager::Publish() {
   // Build the successor: shared relations, extended symbol space. Only the
   // facts of `delta` cost anything; readers keep serving `base` untouched.
   std::unique_ptr<Database> next = Database::BeginDelta(base);
+  if (recovered_epoch.has_value()) next->SetRecoveredEpoch(*recovered_epoch);
   size_t symbols_before = next->symbols().size();
   for (const PendingFact& f : delta) {
     // Staged facts are unvalidated client input: a schema violation must

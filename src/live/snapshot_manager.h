@@ -25,6 +25,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,6 +34,10 @@
 #include "util/status.h"
 
 namespace binchain {
+
+namespace durability {
+class RecoveryManager;
+}  // namespace durability
 
 /// What one Publish() did, for operators and the live benchmark.
 ///
@@ -175,6 +180,16 @@ class SnapshotManager {
   }
 
  private:
+  // Recovery replay is the one caller that may stamp a successor's epoch.
+  friend class durability::RecoveryManager;
+
+  /// Publish(), with the successor stamped `recovered_epoch` instead of
+  /// tip + 1 when set. Recovery-only: replay stages every committed batch
+  /// and publishes them as one successor that must land on the last logged
+  /// epoch. Aborts unless that epoch is above the tip and no durability
+  /// sink is attached (replayed batches are already in the log).
+  PublishStats PublishImpl(std::optional<uint64_t> recovered_epoch);
+
   mutable std::mutex mu_;  // guards tip_, pending_, genesis_/sealed state
   std::mutex publish_mu_;  // serializes Publish pipelines
   std::unique_ptr<Database> genesis_;         // until sealed

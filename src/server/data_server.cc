@@ -618,6 +618,14 @@ void DataServer::Stop() {
     close(fd);
   }
   queue_cv_.notify_all();
+  {
+    // A handler parked in recv() on an idle kept-alive connection would
+    // otherwise hold the join below for up to io_timeout_ms. SHUT_RD wakes
+    // it with EOF but leaves the write side open, so a response being
+    // streamed right now still finishes.
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    for (int active : active_fds_) shutdown(active, SHUT_RD);
+  }
   if (accept_thread_.joinable()) accept_thread_.join();
   for (std::thread& t : handler_threads_) {
     if (t.joinable()) t.join();
@@ -675,9 +683,19 @@ void DataServer::HandlerLoop() {
       if (conn_queue_.empty()) return;
       fd = conn_queue_.front();
       conn_queue_.pop_front();
+      // Registered under the same lock Stop() takes after clearing
+      // running_: either Stop() sees this fd, or ServeConnection sees
+      // running_ false and returns before its first recv().
+      active_fds_.insert(fd);
     }
     m_active_connections_->Add(1);
     ServeConnection(fd);
+    {
+      // Unregister before close: once closed, the fd number can be reused
+      // by an unrelated descriptor that Stop() must not shut down.
+      std::lock_guard<std::mutex> lock(queue_mu_);
+      active_fds_.erase(fd);
+    }
     close(fd);
     m_active_connections_->Add(-1);
   }
@@ -698,15 +716,15 @@ void DataServer::ServeConnection(int fd) {
   }
 
   std::string carry;  // bytes read past the previous request's end
-  for (size_t served = 0; served < options_.max_requests_per_connection;
-       ++served) {
+  const size_t budget = options_.max_requests_per_connection;
+  for (size_t served = 0; served < budget; ++served) {
     if (!running_.load(std::memory_order_acquire)) return;
-    if (!ServeOne(fd, peer, &carry)) return;
+    if (!ServeOne(fd, peer, &carry, /*last=*/served + 1 == budget)) return;
   }
 }
 
-bool DataServer::ServeOne(int fd, const std::string& peer,
-                          std::string* carry) {
+bool DataServer::ServeOne(int fd, const std::string& peer, std::string* carry,
+                          bool last) {
   // Read the request head (tolerating bytes of it already in *carry from
   // the previous read).
   size_t head_end;
@@ -751,14 +769,16 @@ bool DataServer::ServeOne(int fd, const std::string& peer,
   }
 
   // Keep-alive is the HTTP/1.1 default; HTTP/1.0 must opt in. The
-  // connection budget caps reuse regardless.
+  // connection budget caps reuse regardless: its last response announces
+  // the close.
   std::string connection;
   if (auto it = req.headers.find("connection"); it != req.headers.end()) {
     connection = it->second;
     for (char& c : connection) c = static_cast<char>(std::tolower(c));
   }
-  bool keep_alive = req.version == "HTTP/1.1" ? connection != "close"
-                                              : connection == "keep-alive";
+  bool keep_alive = !last && (req.version == "HTTP/1.1"
+                                  ? connection != "close"
+                                  : connection == "keep-alive");
 
   if (req.path != "/v1/query") {
     errors_.fetch_add(1, std::memory_order_relaxed);

@@ -46,6 +46,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "server/http_common.h"
@@ -116,6 +117,8 @@ class DataServer {
   Status Start();
   /// Shuts the listener down and joins every thread. In-flight streams
   /// finish (their queries complete or get cancelled by client drop);
+  /// handlers idle between keep-alive requests are woken at once (their
+  /// connections' read side is shut down) rather than after io_timeout_ms;
   /// queued-but-unserved connections are closed. Idempotent.
   void Stop();
 
@@ -137,9 +140,11 @@ class DataServer {
   /// then closes it. Returns when the client hangs up, errors, or asks
   /// `Connection: close`.
   void ServeConnection(int fd);
-  /// One request/response exchange. Returns whether the connection is
-  /// still healthy enough for another request.
-  bool ServeOne(int fd, const std::string& peer, std::string* carry);
+  /// One request/response exchange. `last` marks the connection budget's
+  /// final request: its response says `Connection: close`. Returns whether
+  /// the connection stays open for another request.
+  bool ServeOne(int fd, const std::string& peer, std::string* carry,
+                bool last);
   /// Parses, admits, submits, and streams (or buffers) one query.
   bool HandleQuery(int fd, const HttpRequest& req, const std::string& peer,
                    bool keep_alive);
@@ -158,6 +163,9 @@ class DataServer {
   std::mutex queue_mu_;
   std::condition_variable queue_cv_;
   std::deque<int> conn_queue_;  // accepted fds awaiting a handler
+  /// Fds a handler is serving, guarded by queue_mu_; Stop() shuts their
+  /// read side down to wake handlers blocked in recv().
+  std::unordered_set<int> active_fds_;
 
   std::atomic<uint64_t> requests_{0};
   std::atomic<uint64_t> errors_{0};

@@ -135,9 +135,10 @@ class Database {
                   std::initializer_list<std::string_view> args);
   bool DeleteFact(std::string_view pred, const std::vector<std::string>& args);
 
-  /// Recovery-only: stamps the epoch id a durability checkpoint recorded,
-  /// so replayed publishes continue the pre-crash numbering instead of
-  /// restarting at zero. Must run before Freeze().
+  /// Recovery-only: stamps the epoch id a durability checkpoint (on the
+  /// genesis) or the last replayed COMMIT (on the replay's BeginDelta
+  /// successor) recorded, so recovery continues the pre-crash numbering
+  /// instead of restarting at zero. Must run before Freeze().
   void SetRecoveredEpoch(uint64_t epoch) {
     BINCHAIN_CHECK(!frozen_);
     epoch_ = epoch;

@@ -8,13 +8,16 @@
 // optimization, never a semantics change.
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cache/answer_cache.h"
 #include "datalog/parser.h"
+#include "eval/answer_sink.h"
 #include "live/snapshot_manager.h"
 #include "service/query_service.h"
 #include "storage/database.h"
@@ -247,13 +250,38 @@ TEST(AnswerCacheTest, DeadMutationsMismatchInvalidatesDespitePointerMatch) {
   EXPECT_EQ(cache.Snapshot().invalidations, 1u);
 }
 
+/// Blocks the evaluating worker on its first answer chunk until Open(), so
+/// the leader of a single-flight is provably still in flight while the
+/// test submits the followers.
+class GateSink : public AnswerSink {
+ public:
+  void OnAnswers(const Tuple* tuples, size_t count,
+                 const SymbolTable& symbols) override {
+    (void)tuples;
+    (void)count;
+    (void)symbols;
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return open_; });
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
 // Concurrent identical misses must collapse onto one evaluation: one
 // leader runs, every other submission parks on the flight and replays the
 // leader's response. Run under TSan in CI.
 TEST(AnswerCacheTest, SingleFlightCollapsesConcurrentIdenticalSubmits) {
   auto genesis = std::make_unique<Database>();
-  // Large enough that later submissions land while the leader is still
-  // evaluating (Fig 7(b) is the Theta(n^2) same-generation sample).
+  // Fig 7(b) is the Theta(n^2) same-generation sample: a non-empty answer
+  // set, so the leader's gate sink is reached before its evaluation ends.
   std::string source = workloads::Fig7b(*genesis, 192);
   Program program =
       ParseProgram(workloads::SgProgramText(), genesis->symbols()).take();
@@ -266,9 +294,17 @@ TEST(AnswerCacheTest, SingleFlightCollapsesConcurrentIdenticalSubmits) {
 
   constexpr size_t kClients = 8;
   QueryRequest req = Req("sg", source);
+  // The leader streams into a closed gate (the sink is not part of the
+  // cache key), so its flight stays open until every follower has
+  // submitted, however the workers are scheduled.
+  GateSink gate;
+  QueryRequest leader = req;
+  leader.sink = &gate;
   std::vector<QueryFuture> futures;
   futures.reserve(kClients);
-  for (size_t i = 0; i < kClients; ++i) futures.push_back(service.Submit(req));
+  futures.push_back(service.Submit(leader));
+  for (size_t i = 1; i < kClients; ++i) futures.push_back(service.Submit(req));
+  gate.Open();
 
   std::vector<QueryResponse> responses;
   for (QueryFuture& f : futures) responses.push_back(f.Take());
@@ -285,6 +321,8 @@ TEST(AnswerCacheTest, SingleFlightCollapsesConcurrentIdenticalSubmits) {
   EXPECT_GE(snap.collapsed + snap.hits, 1u);
   EXPECT_GE(snap.collapsed, 1u);
   EXPECT_LE(snap.inserts, 2u);  // the leader (+ at most a rare straggler)
+  // With the leader gated, every follower found the flight open.
+  EXPECT_EQ(snap.collapsed, kClients - 1);
 }
 
 // The cache must be invisible in the results: a cache-on service and a

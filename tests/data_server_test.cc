@@ -15,12 +15,14 @@
 
 #include <algorithm>
 #include <cctype>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "datalog/parser.h"
@@ -461,6 +463,71 @@ TEST(DataServerTest, KeepAliveServesMultipleQueriesOnOneConnection) {
   }
   close(fd);
   EXPECT_GE(fx.server->requests_served(), 3u);
+}
+
+/// Bounds every blocking read on a test client socket, so a server that
+/// never answers or never closes fails the test instead of hanging it.
+void SetRecvTimeout(int fd, int seconds) {
+  timeval tv{};
+  tv.tv_sec = seconds;
+  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+}
+
+TEST(DataServerTest, ConnectionBudgetAnnouncesCloseOnItsLastResponse) {
+  DataServerOptions opts;
+  opts.max_requests_per_connection = 3;
+  DataFixture fx(16, opts);
+  int fd = ConnectTo(fx.server->port());
+  ASSERT_GE(fd, 0);
+  SetRecvTimeout(fd, 5);
+  std::string carry;
+  for (size_t round = 1; round <= opts.max_requests_per_connection; ++round) {
+    std::string raw = QueryRequestRaw("{\"pred\": \"sg\", \"source\": \"" +
+                                      fx.source + "\"}");
+    ASSERT_EQ(send(fd, raw.data(), raw.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(raw.size()));
+    HttpResult r;
+    ASSERT_TRUE(ReadResponse(fd, &carry, &r)) << "round " << round;
+    EXPECT_EQ(r.status, 200);
+    EXPECT_EQ(r.headers["connection"],
+              round < opts.max_requests_per_connection ? "keep-alive" : "close")
+        << "round " << round;
+  }
+  // The budget is spent: the server closes its end (EOF, not a timeout).
+  char byte;
+  EXPECT_EQ(recv(fd, &byte, 1, 0), 0);
+  EXPECT_TRUE(carry.empty());
+  close(fd);
+}
+
+TEST(DataServerTest, StopDoesNotWaitOutIdleKeptAliveConnection) {
+  DataServerOptions opts;
+  opts.io_timeout_ms = 10000;
+  DataFixture fx(16, opts);
+  int fd = ConnectTo(fx.server->port());
+  ASSERT_GE(fd, 0);
+  SetRecvTimeout(fd, 5);
+  std::string raw = QueryRequestRaw("{\"pred\": \"sg\", \"source\": \"" +
+                                    fx.source + "\"}");
+  ASSERT_EQ(send(fd, raw.data(), raw.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(raw.size()));
+  std::string carry;
+  HttpResult r;
+  ASSERT_TRUE(ReadResponse(fd, &carry, &r));
+  ASSERT_EQ(r.headers["connection"], "keep-alive");
+  // Let the handler park in recv() waiting for a next request that never
+  // comes; Stop() must wake it rather than wait out io_timeout_ms.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  auto t0 = std::chrono::steady_clock::now();
+  fx.server->Stop();
+  const double stop_s = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+  EXPECT_LT(stop_s, 1.0);
+  EXPECT_FALSE(fx.server->running());
+  char byte;
+  EXPECT_EQ(recv(fd, &byte, 1, 0), 0);  // the server closed its end
+  close(fd);
 }
 
 TEST(DataServerTest, MidStreamDeadlineYieldsWellFormedPartialTrailer) {

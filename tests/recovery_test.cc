@@ -10,7 +10,9 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -541,6 +543,257 @@ TEST(RecoveryTest, MidBatchAppendCrashLosesWholeBatch) {
   EXPECT_EQ(sys.manager->epoch(), 1u);
   EXPECT_TRUE(sys.stats.tail_truncated);
   EXPECT_GT(sys.stats.truncated_bytes, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// One-publish replay against a batch-by-batch reference.
+
+/// Relation schema of a snapshot: every materialized predicate (emptied
+/// ones included) with its arity.
+std::map<std::string, size_t> Schema(const Database& db) {
+  std::map<std::string, size_t> out;
+  for (const std::string& name : db.relation_names()) {
+    out[name] = db.Find(name)->arity();
+  }
+  return out;
+}
+
+/// Seeded batch generator: five constants so deletes and re-adds collide
+/// often, the genesis predicate `e` plus fresh `f` and `g`, and an
+/// occasional wrong-arity op the publish must reject.
+class LogGen {
+ public:
+  explicit LogGen(uint32_t seed) : rng_(seed) {}
+
+  size_t Below(size_t n) { return rng_() % n; }
+
+  std::vector<Op> NextBatch() {
+    std::vector<Op> ops;
+    const size_t n = Below(7);  // empty batches commit too
+    for (size_t i = 0; i < n; ++i) ops.push_back(NextOp());
+    return ops;
+  }
+
+ private:
+  Op NextOp() {
+    static const char* const kPreds[] = {"e", "f", "g"};
+    static const size_t kArity[] = {2, 1, 3};
+    const size_t p = Below(3);
+    const size_t arity = Below(8) == 0 ? 1 + Below(3) : kArity[p];
+    std::vector<std::string> args;
+    for (size_t i = 0; i < arity; ++i) {
+      args.push_back("c" + std::to_string(Below(5)));
+    }
+    return Op{Below(3) == 0, kPreds[p], std::move(args)};
+  }
+
+  std::mt19937 rng_;
+};
+
+/// Stages and durably publishes one batch: one committed batch in the log.
+void PublishBatch(SnapshotManager* manager, const std::vector<Op>& batch) {
+  for (const Op& op : batch) Stage(manager, op);
+  PublishStats ps = manager->Publish();
+  EXPECT_TRUE(ps.status.ok()) << ps.status.message();
+}
+
+struct ReferenceTip {
+  std::set<std::string> facts;
+  std::map<std::string, size_t> schema;
+  uint64_t epoch = 0;
+  size_t publishes = 0;
+};
+
+/// The replay recovery used to run: one Publish() per committed batch above
+/// the checkpoint epoch, each landing on its COMMIT's epoch. Reads the
+/// directory without normalizing it; uncommitted trailing records are
+/// dropped, as recovery drops them.
+ReferenceTip BatchByBatchReplay(const std::string& dir) {
+  auto genesis = std::make_unique<Database>();
+  uint64_t checkpoint_epoch = 0;
+  auto cp = ReadCheckpoint(Wal::CheckpointPath(dir));
+  if (cp.ok()) {
+    CheckpointData data = cp.take();
+    checkpoint_epoch = data.epoch;
+    for (const auto& rel : data.relations) {
+      genesis->GetOrCreate(rel.name, rel.arity);
+      for (const auto& row : rel.rows) genesis->AddFact(rel.name, row);
+    }
+    genesis->SetRecoveredEpoch(checkpoint_epoch);
+  } else {
+    EXPECT_EQ(cp.status().code(), StatusCode::kNotFound);
+  }
+  SnapshotManager manager(std::move(genesis));
+  manager.Seal();
+
+  ReferenceTip ref;
+  std::vector<Op> batch;
+  const durability::WalScan scan = ScanLog(Wal::LogPath(dir)).take();
+  for (const WalRecord& rec : scan.records) {
+    if (rec.kind != WalRecord::kCommit) {
+      batch.push_back(Op{rec.kind == WalRecord::kDelete, rec.pred, rec.args});
+      continue;
+    }
+    if (rec.epoch > checkpoint_epoch) {
+      for (const Op& op : batch) Stage(&manager, op);
+      PublishStats ps = manager.Publish();
+      EXPECT_TRUE(ps.status.ok()) << ps.status.message();
+      EXPECT_EQ(ps.epoch, rec.epoch);
+      ++ref.publishes;
+    }
+    batch.clear();
+  }
+  auto tip = manager.Acquire();
+  ref.facts = TipFacts(*tip);
+  ref.schema = Schema(*tip);
+  ref.epoch = tip->epoch();
+  return ref;
+}
+
+/// Leaves a torn tail behind `wal`: a complete Stage record with no COMMIT.
+/// The caller appends garbage bytes once the handle is gone.
+void StageUncommitted(Wal* wal) {
+  ASSERT_TRUE(wal->StageAdd("e", {"c9", "c9"}).ok());
+}
+
+void AppendGarbage(const std::string& dir) {
+  std::ofstream f(Wal::LogPath(dir), std::ios::binary | std::ios::app);
+  f.write("\xde\xad\xbe", 3);
+}
+
+TEST(RecoveryTest, OnePublishReplayMatchesBatchByBatchReplay) {
+  // Every log opens with a fixed run that guarantees the interesting
+  // shapes, then random batches follow: add -> delete -> re-add of one
+  // fact across batches, a fresh predicate, a fresh predicate emptied
+  // again, and wrong-arity adds against both genesis and fresh schemas.
+  const std::vector<std::vector<Op>> prefix = {
+      {Add("f", {"c0"}), Add("e", {"c0", "c2"})},
+      {Del("f", {"c0"}), Add("e", {"c0"}), Add("h", {"c1", "c1"})},
+      {Add("f", {"c0"}), Add("f", {"c0", "c1"}), Del("h", {"c1", "c1"})},
+  };
+  const std::vector<Op> genesis = {Add("e", {"c0", "c1"}),
+                                   Add("e", {"c1", "c2"})};
+  WalOptions options;
+  options.checkpoint_log_bytes = 1u << 20;  // only the forced checkpoint
+
+  for (uint32_t seed = 0; seed < 32; ++seed) {
+    // Variants by seed: a checkpoint that covers the leading batches (the
+    // rename-then-crash window, so Replay must skip them), and a torn tail.
+    const bool checkpoint = seed % 2 == 1;
+    const bool torn = seed % 4 >= 2;
+    SCOPED_TRACE("seed " + std::to_string(seed) +
+                 (checkpoint ? " checkpoint" : "") + (torn ? " torn" : ""));
+    TempDir dir;
+    LogGen gen(seed);
+    size_t logged = 0;
+    size_t covered = 0;
+    {
+      DurableRig rig = StartFresh(dir.path(), options, genesis);
+      for (const std::vector<Op>& batch : prefix) {
+        PublishBatch(rig.manager.get(), batch);
+        ++logged;
+      }
+      for (size_t n = gen.Below(6); n > 0; --n) {
+        PublishBatch(rig.manager.get(), gen.NextBatch());
+        ++logged;
+      }
+      if (checkpoint) {
+        FaultInjector::Instance().Arm("wal.checkpoint.crash_after_rename");
+        EXPECT_THROW(rig.wal->Checkpoint(*rig.manager->Acquire()),
+                     FaultInjectedCrash);
+        FaultInjector::Instance().Disarm();
+        covered = logged;
+      } else if (torn) {
+        StageUncommitted(rig.wal.get());
+      }
+    }
+    if (checkpoint) {
+      // Restart over the un-truncated log and keep publishing, so the log
+      // holds covered batches followed by batches Replay must apply.
+      RecoveredSystem sys = Recover(dir.path(), options);
+      ASSERT_EQ(sys.manager->epoch(), covered);
+      for (size_t n = 1 + gen.Below(6); n > 0; --n) {
+        PublishBatch(sys.manager.get(), gen.NextBatch());
+        ++logged;
+      }
+      if (torn) StageUncommitted(sys.wal.get());
+    }
+    if (torn) AppendGarbage(dir.path());
+
+    const ReferenceTip ref = BatchByBatchReplay(dir.path());
+    EXPECT_EQ(ref.publishes + covered, logged);
+    RecoveredSystem sys = Recover(dir.path(), options);
+    auto tip = sys.manager->Acquire();
+    EXPECT_EQ(TipFacts(*tip), ref.facts);
+    EXPECT_EQ(Schema(*tip), ref.schema);
+    EXPECT_EQ(tip->epoch(), ref.epoch);
+    EXPECT_EQ(tip->epoch(), logged);
+    EXPECT_EQ(sys.stats.batches_replayed, ref.publishes);
+    EXPECT_EQ(sys.stats.batches_skipped, covered);
+    EXPECT_EQ(sys.stats.tail_truncated, torn);
+    // The whole log went through one publish.
+    EXPECT_EQ(sys.manager->publish_recorder().Snapshot().size(),
+              ref.publishes > 0 ? 1u : 0u);
+  }
+}
+
+TEST(RecoveryTest, ReplayRefusesEpochGapBeforeStagingAnything) {
+  WalOptions options;
+  options.checkpoint_log_bytes = 1u << 20;
+  for (uint32_t seed = 0; seed < 16; ++seed) {
+    // Odd seeds start from a checkpoint at epoch 3, so the gap is measured
+    // from the checkpoint epoch rather than from zero.
+    const uint64_t base = seed % 2 == 1 ? 3 : 0;
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    TempDir dir;
+    LogGen gen(seed);
+    const size_t before_gap = gen.Below(4);
+    {
+      auto wal = Wal::Open(dir.path(), options).take();
+      if (base > 0) {
+        Database db;
+        db.GetOrCreate("e", 2);
+        db.AddFact("e", {"c0", "c1"});
+        db.SetRecoveredEpoch(base);
+        db.Freeze();
+        ASSERT_TRUE(wal->Checkpoint(db).ok());
+      }
+      auto write_batch = [&](uint64_t epoch) {
+        for (const Op& op : gen.NextBatch()) {
+          if (op.is_delete) {
+            ASSERT_TRUE(wal->StageDelete(op.pred, op.args).ok());
+          } else {
+            ASSERT_TRUE(wal->StageAdd(op.pred, op.args).ok());
+          }
+        }
+        ASSERT_TRUE(wal->Commit(epoch).ok());
+      };
+      uint64_t epoch = base;
+      for (size_t i = 0; i < before_gap; ++i) write_batch(++epoch);
+      epoch += 2;  // skips one epoch id
+      write_batch(epoch);
+      write_batch(++epoch);
+    }
+    const std::string expected =
+        "recovery: replayed publish landed on epoch " +
+        std::to_string(base + before_gap + 1) + ", log committed " +
+        std::to_string(base + before_gap + 2);
+
+    auto rm = RecoveryManager::Load(dir.path()).take();
+    SnapshotManager manager(rm->BuildGenesis());
+    manager.Seal();
+    Status st = rm->Replay(&manager);
+    EXPECT_EQ(st.code(), StatusCode::kInternal);
+    EXPECT_EQ(st.message(), expected);
+    // Refused up front: nothing staged, nothing published.
+    EXPECT_EQ(manager.epoch(), base);
+    EXPECT_EQ(manager.PendingFacts(), 0u);
+    EXPECT_EQ(rm->stats().batches_replayed, 0u);
+
+    auto sys = RecoverSnapshotManager(dir.path(), options);
+    ASSERT_FALSE(sys.ok());
+    EXPECT_EQ(sys.status().message(), expected);
+  }
 }
 
 // ---------------------------------------------------------------------------
